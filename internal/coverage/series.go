@@ -145,6 +145,24 @@ func (s *Saturation) Saturated(t float64) bool {
 	return s.started && t-s.lastGain >= s.Window
 }
 
+// A SaturationState is a detector's resumable position (its tuning
+// fields are configuration, not state).
+type SaturationState struct {
+	LastGain  float64
+	LastCount int
+	Started   bool
+}
+
+// State captures the detector's position.
+func (s *Saturation) State() SaturationState {
+	return SaturationState{LastGain: s.lastGain, LastCount: s.lastCount, Started: s.started}
+}
+
+// SetState restores a position captured by State.
+func (s *Saturation) SetState(st SaturationState) {
+	s.lastGain, s.lastCount, s.started = st.LastGain, st.LastCount, st.Started
+}
+
 // Reset restarts the detector, typically after a configuration mutation
 // opens a new region of the program.
 func (s *Saturation) Reset(t float64) {

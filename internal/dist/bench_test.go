@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"cmfuzz/internal/dist"
@@ -87,4 +88,40 @@ func mustSubjectB(b *testing.B, name string) subject.Subject {
 		b.Fatal(err)
 	}
 	return sub
+}
+
+// BenchmarkRestoreAge measures a cold hand-off's restore as the
+// campaign ages: DNS, CMFuzz, 4 instances, checkpointed after 0.5 to
+// 8 virtual hours and restored onto a fresh coordinator with 2 pipe
+// workers. An op is one Restore call. sessions/op counts the target
+// sessions the restore ran (journal replay re-executes the campaign's
+// history; snapshot restore runs none), and checkpoint-bytes is the
+// size of the restored checkpoint.
+func BenchmarkRestoreAge(b *testing.B) {
+	for _, hours := range []float64{0.5, 1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("hours=%g", hours), func(b *testing.B) {
+			sub := &sessionCounter{Subject: mustSubjectB(b, "DNS")}
+			opts := parallel.Options{Mode: parallel.ModeCMFuzz, Instances: 4, VirtualHours: hours + 1, Seed: 11, Concurrency: 1}
+			blob, _ := checkpointAt(b, sub, opts, hours*3600)
+			var sessions int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				coord := dist.NewCoordinator(sub, opts, dist.Config{HeartbeatInterval: -1})
+				wait := addWorkersFor(b, coord.AddConn, 2, sub)
+				before := sub.sessions.Load()
+				b.StartTimer()
+				if err := coord.Restore(context.Background(), blob); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				sessions += sub.sessions.Load() - before
+				coord.Close()
+				wait()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(sessions)/float64(b.N), "sessions/op")
+			b.ReportMetric(float64(len(blob)), "checkpoint-bytes")
+		})
+	}
 }

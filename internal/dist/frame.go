@@ -56,8 +56,11 @@ const maxFrame = 64 << 20
 // plus the worker's tracer clock, so the coordinator can stitch worker
 // spans into one aligned Chrome trace. Version 5 adds live targets:
 // Assign carries an inline JSON live-target spec (empty for built-in
-// subjects) and the options gain the link-impairment knobs.
-const protocolVersion = 5
+// subjects) and the options gain the link-impairment knobs. Version 6
+// adds instance snapshots: the Snapshot RPC captures an instance's
+// worker-side state for a checkpoint, and Boot can carry a snapshot to
+// resume from instead of starting the instance from its spec.
+const protocolVersion = 6
 
 // Message types.
 const (
@@ -77,6 +80,8 @@ const (
 	msgError
 	msgRelease
 	msgReleaseOK
+	msgSnapshot
+	msgSnapshotResult
 )
 
 var errFrameTooLarge = errors.New("dist: frame exceeds size limit")

@@ -105,13 +105,23 @@ type CampaignStatus struct {
 	Reward  float64 `json:"reward"`
 	Workers int     `json:"workers"`
 	Error   string  `json:"error,omitempty"`
+	// PersistError is the campaign's most recent persistence failure: a
+	// checkpoint or its write while parking, or a triage dump. The
+	// campaign keeps running on its last good checkpoint.
+	PersistError string `json:"persist_error,omitempty"`
 }
 
 // campaignRec is the manager-side record of one campaign.
 type campaignRec struct {
-	spec  CampaignSpec
-	state string
-	err   string
+	spec       CampaignSpec
+	state      string
+	err        string
+	persistErr string // most recent persistence failure (status only)
+
+	// persisted reports that checkpoint.bin holds the coordinator's
+	// current state: the last slice ended with a checkpoint write and
+	// nothing has advanced since. Parking then has nothing to save.
+	persisted bool
 
 	coord *dist.Coordinator
 	// part is the worker partition the campaign currently holds (nil
@@ -388,6 +398,8 @@ func (m *Manager) Status() []CampaignStatus {
 			Reward:  c.reward,
 			Workers: c.workers,
 			Error:   c.err,
+
+			PersistError: c.persistErr,
 		})
 	}
 	return out
@@ -568,6 +580,7 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 	if h := coord.Horizon(); target > h {
 		target = h
 	}
+	c.persisted = false
 	if err := coord.Advance(ctx, target); err != nil {
 		return err
 	}
@@ -610,11 +623,7 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 		return nil
 	}
 
-	blob, err := coord.Checkpoint()
-	if err != nil {
-		return err
-	}
-	if err := campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644); err != nil {
+	if err := m.checkpoint(c); err != nil {
 		return err
 	}
 
@@ -924,14 +933,19 @@ func (m *Manager) failCampaign(c *campaignRec, err error) {
 
 // park checkpoints and closes c's coordinator and returns its workers
 // to the free set, leaving the campaign queued so a later scheduler
-// (this process or the next) can resume it.
+// (this process or the next) can resume it. The checkpoint is skipped
+// when the last slice already persisted this exact state, which is the
+// common cold hand-off. A failed checkpoint is surfaced, not fatal: the
+// campaign resumes from its last good one.
 func (m *Manager) park(c *campaignRec) {
 	if c.coord == nil && c.part == nil {
 		return
 	}
 	if c.coord != nil {
-		if blob, err := c.coord.Checkpoint(); err == nil {
-			campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644)
+		if !c.persisted {
+			if err := m.checkpoint(c); err != nil {
+				m.persistFailed(c, "park checkpoint", err)
+			}
 		}
 		c.coord.Close()
 		c.coord = nil
@@ -939,6 +953,28 @@ func (m *Manager) park(c *campaignRec) {
 	m.releasePartition(c)
 	m.mu.Lock()
 	c.state = StateQueued
+	m.mu.Unlock()
+}
+
+// checkpoint writes c's live coordinator state to checkpoint.bin.
+func (m *Manager) checkpoint(c *campaignRec) error {
+	blob, err := c.coord.Checkpoint()
+	if err != nil {
+		return err
+	}
+	if err := campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644); err != nil {
+		return err
+	}
+	c.persisted = true
+	return nil
+}
+
+// persistFailed records a persistence failure in c's status and flight
+// recorder.
+func (m *Manager) persistFailed(c *campaignRec, op string, err error) {
+	c.flight.add("persist_error", map[string]any{"op": op, "error": err.Error()})
+	m.mu.Lock()
+	c.persistErr = op + ": " + err.Error()
 	m.mu.Unlock()
 }
 

@@ -99,14 +99,16 @@ func (m *Manager) Flight(id string) (flightDoc, bool) {
 // dumpFlight writes the ring atomically as triage.json in the campaign
 // state dir — next to spec.json, deliberately OUTSIDE artifacts/, so
 // the byte-identity artifact diffs never see it. Called on worker
-// death and campaign failure; best-effort (a failed dump must not take
-// the scheduler down with it).
+// death and campaign failure. A failed dump must not take the
+// scheduler down with it, so it is surfaced as a persistence error.
 func (m *Manager) dumpFlight(c *campaignRec, reason string) {
 	events, total := c.flight.snapshot()
 	doc := flightDoc{ID: c.spec.ID, Reason: reason, Wall: time.Now().UTC(), Total: total, Events: events}
 	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return
+	if err == nil {
+		err = campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "triage.json"), raw, 0o644)
 	}
-	campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "triage.json"), raw, 0o644)
+	if err != nil {
+		m.persistFailed(c, "triage_dump", err)
+	}
 }

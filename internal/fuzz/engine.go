@@ -1,11 +1,13 @@
 package fuzz
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/rng"
 )
 
 // A Target is the system under test as the engine sees it: one call runs
@@ -128,6 +130,7 @@ type Engine struct {
 	cfg      Config
 	target   Target
 	rng      *rand.Rand
+	src      *rng.Source // rng's source; its draw count is the stream position
 	trace    *coverage.Trace
 	global   *coverage.Map
 	corpus   *Corpus
@@ -146,10 +149,12 @@ type Engine struct {
 // NewEngine returns an engine fuzzing target under cfg.
 func NewEngine(cfg Config, target Target) *Engine {
 	cfg.setDefaults()
+	src := rng.New(cfg.Seed)
 	e := &Engine{
 		cfg:    cfg,
 		target: target,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rand.New(src),
+		src:    src,
 		trace:  coverage.NewTrace(),
 		global: coverage.NewMap(),
 		corpus: NewCorpus(cfg.MaxCorpus),
@@ -189,6 +194,53 @@ func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.CorpusSize = e.corpus.Len()
 	return s
+}
+
+// An EngineState is everything an engine carries from one Step to the
+// next: the cumulative coverage map, the corpus in pool order, the
+// counters, and the position of the engine's random stream. The step
+// scratch buffers are not part of it; every Step rebuilds them.
+type EngineState struct {
+	Coverage []byte // coverage.EncodeDelta of the cumulative map
+	Corpus   []Seed
+	Stats    Stats // CorpusSize is ignored on restore
+	Draws    uint64
+}
+
+// State captures the engine's resumable state. Corpus seeds are shared,
+// not copied; the engine never mutates a stored seed.
+func (e *Engine) State() EngineState {
+	corpus := make([]Seed, e.corpus.Len())
+	for i := range corpus {
+		corpus[i] = e.corpus.At(i)
+	}
+	return EngineState{
+		Coverage: coverage.EncodeDelta(e.global, nil),
+		Corpus:   corpus,
+		Stats:    e.Stats(),
+		Draws:    e.src.Draws(),
+	}
+}
+
+// SetState puts a freshly built engine (same Config, same target) into
+// the state st was captured in: the next Step behaves exactly as the
+// captured engine's next Step would have.
+func (e *Engine) SetState(st EngineState) error {
+	if len(st.Corpus) > e.cfg.MaxCorpus {
+		return errors.New("fuzz: engine state corpus exceeds the pool bound")
+	}
+	global := coverage.NewMap()
+	if _, err := global.ApplyDelta(st.Coverage); err != nil {
+		return err
+	}
+	e.global = global
+	e.corpus = NewCorpus(e.cfg.MaxCorpus)
+	for _, s := range st.Corpus {
+		e.corpus.Add(s)
+	}
+	e.stats = st.Stats
+	e.src.Restore(st.Draws)
+	return nil
 }
 
 // LastSeed returns the most recent corpus addition. It is meaningful

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"cmfuzz/internal/rng"
 )
 
 // Errors reported by the fabric.
@@ -133,10 +135,53 @@ type Namespace struct {
 	nextConn  int
 	loss      float64
 	rng       *rand.Rand
+	lossSrc   *rng.Source
 	latBase   float64
 	latJitter float64
 	latRng    *rand.Rand
+	latSrc    *rng.Source
 	stats     Stats
+}
+
+// A NamespaceState is a namespace's resumable position: its traffic
+// counters (the accrued latency included), the next connection id, and
+// how far the loss and latency streams have advanced. Handler bindings
+// and impairment settings are configuration, not state.
+type NamespaceState struct {
+	Stats     Stats
+	NextConn  int
+	LossDraws uint64
+	LatDraws  uint64
+}
+
+// State captures the namespace's position.
+func (ns *Namespace) State() NamespaceState {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	st := NamespaceState{Stats: ns.stats, NextConn: ns.nextConn}
+	if ns.lossSrc != nil {
+		st.LossDraws = ns.lossSrc.Draws()
+	}
+	if ns.latSrc != nil {
+		st.LatDraws = ns.latSrc.Draws()
+	}
+	return st
+}
+
+// SetState restores a position captured by State on a namespace with
+// the same SetLoss/SetLatency configuration: counters are overwritten
+// and each impairment stream is re-seeded and fast-forwarded.
+func (ns *Namespace) SetState(st NamespaceState) {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	ns.stats = st.Stats
+	ns.nextConn = st.NextConn
+	if ns.lossSrc != nil {
+		ns.lossSrc.Restore(st.LossDraws)
+	}
+	if ns.latSrc != nil {
+		ns.latSrc.Restore(st.LatDraws)
+	}
 }
 
 // Name returns the namespace name.
@@ -163,7 +208,8 @@ func (ns *Namespace) SetLoss(p float64, seed int64) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	ns.loss = p
-	ns.rng = rand.New(rand.NewSource(seed))
+	ns.lossSrc = rng.New(seed)
+	ns.rng = rand.New(ns.lossSrc)
 }
 
 // SetLatency configures a simulated one-way delivery delay, in virtual
@@ -179,7 +225,8 @@ func (ns *Namespace) SetLatency(base, jitter float64, seed int64) {
 	defer ns.mu.Unlock()
 	ns.latBase = base
 	ns.latJitter = jitter
-	ns.latRng = rand.New(rand.NewSource(seed))
+	ns.latSrc = rng.New(seed)
+	ns.latRng = rand.New(ns.latSrc)
 }
 
 // chargeLatencyLocked accrues one delivery's simulated delay. Callers

@@ -9,6 +9,8 @@ import (
 	"cmfuzz/internal/core/schedule"
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
+	"cmfuzz/internal/netsim"
+	"cmfuzz/internal/rng"
 	"cmfuzz/internal/telemetry"
 )
 
@@ -60,6 +62,7 @@ type Instance struct {
 	group        schedule.Group
 	sat          *coverage.Saturation
 	rng          *rand.Rand
+	src          *rng.Source // rng's source; its draw count is the stream position
 	muts         int
 	crashes      int
 	restartFails int
@@ -74,15 +77,7 @@ type Instance struct {
 // defaults as a last resort), and seed the engine with the startup
 // coverage. Startup crashes go to sink.
 func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
-	ns := h.Fabric.Namespace(fmt.Sprintf("inst%d", spec.Index))
-	// Link impairment, seeded per instance so loss/latency streams are
-	// independent across instances yet reproducible per campaign seed.
-	if h.Opts.LinkLoss > 0 {
-		ns.SetLoss(h.Opts.LinkLoss, h.Opts.Seed*31+int64(spec.Index))
-	}
-	if h.Opts.LinkLatencyBase > 0 || h.Opts.LinkLatencyJitter > 0 {
-		ns.SetLatency(h.Opts.LinkLatencyBase, h.Opts.LinkLatencyJitter, h.Opts.Seed*37+int64(spec.Index))
-	}
+	ns := h.namespace(spec.Index)
 	cfg := repairConfig(h.Sub, spec.Config, h.Defaults)
 	target, startCov, err := bootTarget(h.Sub, ns, cfg, sink, spec.Index)
 	if err != nil {
@@ -93,25 +88,49 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 			return nil, fmt.Errorf("parallel: instance %d failed to start: %w", spec.Index, err)
 		}
 	}
+	in := h.newInstance(spec, target, cfg)
+	in.engine.Absorb(startCov)
+	in.startEdges = startCov.Count()
+	return in, nil
+}
+
+// namespace returns instance index's netsim namespace with the
+// campaign's link impairment applied. Loss and latency are seeded per
+// instance so their streams are independent across instances yet
+// reproducible per campaign seed.
+func (h *Host) namespace(index int) *netsim.Namespace {
+	ns := h.Fabric.Namespace(fmt.Sprintf("inst%d", index))
+	if h.Opts.LinkLoss > 0 {
+		ns.SetLoss(h.Opts.LinkLoss, h.Opts.Seed*31+int64(index))
+	}
+	if h.Opts.LinkLatencyBase > 0 || h.Opts.LinkLatencyJitter > 0 {
+		ns.SetLatency(h.Opts.LinkLatencyBase, h.Opts.LinkLatencyJitter, h.Opts.Seed*37+int64(index))
+	}
+	return ns
+}
+
+// newInstance wires a booted target into a fresh instance: engine,
+// saturation tracker and mutation rng, all at their starting positions.
+func (h *Host) newInstance(spec InstanceSpec, target *netTarget, cfg configmodel.Assignment) *Instance {
 	eng := fuzz.NewEngine(fuzz.Config{
 		Models:     h.Pit.DataModels,
 		StateModel: h.StateModel,
 		Seed:       spec.EngineSeed,
 		FixedPaths: spec.Paths,
 	}, target)
-	eng.Absorb(startCov)
+	src := rng.New(spec.RngSeed)
 	return &Instance{
-		host:       h,
-		index:      spec.Index,
-		nextSync:   h.Opts.SyncInterval,
-		engine:     eng,
-		target:     target,
-		cfg:        cfg,
-		group:      spec.Group,
-		sat:        &coverage.Saturation{Window: h.Opts.SaturationWindow, MinGain: h.Opts.SaturationMinGain, MinGainFrac: 0.01},
-		rng:        rand.New(rand.NewSource(spec.RngSeed)),
-		startEdges: startCov.Count(),
-	}, nil
+		host:     h,
+		index:    spec.Index,
+		nextSync: h.Opts.SyncInterval,
+		engine:   eng,
+		target:   target,
+		cfg:      cfg,
+		group:    spec.Group,
+		sat:      &coverage.Saturation{Window: h.Opts.SaturationWindow, MinGain: h.Opts.SaturationMinGain, MinGainFrac: 0.01},
+		rng:      rand.New(src),
+		src:      src,
+	}
 }
 
 // Step runs one engine step and advances the instance's virtual clock by
@@ -119,20 +138,29 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 // counter; recording it in the ledger is the scheduler's job (the record
 // must land in global event-loop order, which only the scheduler knows).
 func (in *Instance) Step() fuzz.StepResult {
+	step, _ := in.step()
+	return step
+}
+
+// step is Step, also returning the link latency it charged to the
+// clock after the cost-model advance (zero with latency off).
+func (in *Instance) step() (fuzz.StepResult, float64) {
 	step := in.engine.Step()
 	in.clock += in.host.Opts.StepCost + in.host.Opts.ByteCost*float64(step.Bytes)
+	var latency float64
 	if in.host.Opts.LinkLatencyBase > 0 || in.host.Opts.LinkLatencyJitter > 0 {
 		// Spend the link latency netsim accrued during this step: the
 		// impaired link slows the campaign's virtual clock, exactly as a
 		// slow real network would slow wall time.
 		acc := in.target.ns.Stats().LatencyAccrued
-		in.clock += acc - in.latencySpent
+		latency = acc - in.latencySpent
+		in.clock += latency
 		in.latencySpent = acc
 	}
 	if step.Crash != nil {
 		in.crashes++
 	}
-	return step
+	return step, latency
 }
 
 // A LeaseStep is the full record of one autonomous step: what Step
@@ -142,7 +170,11 @@ func (in *Instance) Step() fuzz.StepResult {
 // event loop in virtual-clock order; Delta is transport scratch the
 // in-process loop leaves nil.
 type LeaseStep struct {
-	Bytes    int
+	Bytes int
+	// Latency is the link latency the step charged to the clock after
+	// the cost-model advance; a replaying scheduler adds the two in the
+	// same order to land on the same clock.
+	Latency  float64
 	NewEdges int
 	Crash    *bugs.Crash
 	// Seed is the corpus addition this step produced; zero unless
@@ -183,8 +215,8 @@ func (in *Instance) StepN(boundary, horizon float64, afterStep, afterRecord func
 	opts := in.host.Opts
 	mutate := opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation
 	for in.clock < horizon {
-		step := in.Step()
-		rec := LeaseStep{Bytes: step.Bytes, NewEdges: step.NewEdges, Crash: step.Crash}
+		step, latency := in.step()
+		rec := LeaseStep{Bytes: step.Bytes, Latency: latency, NewEdges: step.NewEdges, Crash: step.Crash}
 		if step.NewEdges > 0 {
 			rec.Seed = in.engine.LastSeed()
 		}

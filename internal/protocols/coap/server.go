@@ -481,9 +481,11 @@ func (s *Server) handleDelete(m message, path string) [][]byte {
 	return s.reply(m, codeDeleted, nil, nil)
 }
 
+// storeResource keeps a copy of body: the inbound buffer belongs to the
+// caller.
 func (s *Server) storeResource(path string, body []byte) {
 	if len(s.resources) < 2048 {
-		s.resources[path] = body
+		s.resources[path] = append([]byte(nil), body...)
 	}
 }
 

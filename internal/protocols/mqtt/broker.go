@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"slices"
 	"strings"
 
 	"cmfuzz/internal/bugs"
@@ -81,6 +82,10 @@ type Broker struct {
 	cur      *session
 	sessions map[string]*session
 	retained map[string]publishPacket
+	// topics lists the retained topics in sorted order, so the
+	// subscribe-time retained scan (which stops after 256 topics) visits
+	// the same topics, in the same order, on every run.
+	topics   []string
 	connects int
 }
 
@@ -245,7 +250,7 @@ func (b *Broker) handleConnect(body []byte) [][]byte {
 	if c.Flags&0x04 != 0 {
 		b.tr.Edge(mConnWill, uint64(c.WillQoS)<<1|probes.B(c.WillRetain))
 		b.tr.Edge(mConnWill, 8+probes.Hash(c.WillTopic)%32)
-		b.cur.will = &willInfo{topic: c.WillTopic, payload: c.WillMessage, qos: c.WillQoS, retain: c.WillRetain}
+		b.cur.will = &willInfo{topic: c.WillTopic, payload: append([]byte(nil), c.WillMessage...), qos: c.WillQoS, retain: c.WillRetain}
 	}
 	return [][]byte{encodeConnack(sessionPresent, 0)}
 }
@@ -303,9 +308,9 @@ func (b *Broker) handlePublish(flags byte, body []byte) [][]byte {
 			}
 			if len(p.Payload) == 0 {
 				b.tr.Edge(mRetain, 200)
-				delete(b.retained, p.Topic)
+				b.unretain(p.Topic)
 			} else if len(b.retained) < 512 {
-				b.retained[p.Topic] = p
+				b.retain(p)
 			}
 		}
 	}
@@ -464,11 +469,8 @@ func (b *Broker) handleSubscribe(body []byte) [][]byte {
 
 		// Retained delivery on subscribe (scan bounded like a topic-trie
 		// lookup would be).
-		scanned := 0
-		for topic, ret := range b.retained {
-			if scanned++; scanned > 256 {
-				break
-			}
+		for _, topic := range b.topics[:min(len(b.topics), 256)] {
+			ret := b.retained[topic]
 			if topicMatches(sub.Filter, topic) {
 				b.tr.Edge(mSubRetain, probes.Hash(topic)%256)
 				fwd := ret
@@ -480,6 +482,24 @@ func (b *Broker) handleSubscribe(body []byte) [][]byte {
 	}
 	out = append([][]byte{encodeSuback(id, codes)}, out...)
 	return out
+}
+
+// retain stores p as its topic's retained message. The payload is
+// copied: the inbound buffer belongs to the caller.
+func (b *Broker) retain(p publishPacket) {
+	if i, found := slices.BinarySearch(b.topics, p.Topic); !found {
+		b.topics = slices.Insert(b.topics, i, p.Topic)
+	}
+	p.Payload = append([]byte(nil), p.Payload...)
+	b.retained[p.Topic] = p
+}
+
+// unretain drops topic's retained message, if any.
+func (b *Broker) unretain(topic string) {
+	if i, found := slices.BinarySearch(b.topics, topic); found {
+		b.topics = slices.Delete(b.topics, i, i+1)
+	}
+	delete(b.retained, topic)
 }
 
 func (b *Broker) handleUnsubscribe(body []byte) [][]byte {

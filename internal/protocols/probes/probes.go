@@ -1,9 +1,25 @@
 // Package probes holds the small helpers the instrumented protocol
 // subjects share: value bucketing and hashing for bounded-cardinality
-// coverage states, and lenient config-value parsing.
+// coverage states, lenient config-value parsing, and the sorted key
+// order their state encodings use.
 package probes
 
-import "strconv"
+import (
+	"cmp"
+	"slices"
+	"strconv"
+)
+
+// SortedKeys returns m's keys in ascending order, so state encodings
+// that walk a map are deterministic.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // Bucket maps a non-negative quantity to a logarithmic bucket (0..~32),
 // so size-like values produce bounded coverage states.
